@@ -40,7 +40,9 @@ Incremental options: ``--result-store DIR`` persists each nameserver
 group's merged stage-1 outcome content-addressed by its query units,
 zone serials, provider policy, and scan-shaping config; later runs
 replay unchanged groups from the store (byte-identical report) and
-re-execute only the dirty ones.  ``--no-incremental`` keeps the store
+re-execute only the dirty ones; the open resolvers' referral walks of
+the correct-record phase replay from the same store (with the default
+``--capture-mode off``).  ``--no-incremental`` keeps the store
 untouched for one run; chaos/faulted runs bypass it automatically.
 
 Observability options: ``--trace-out PATH`` streams the run's event bus
@@ -211,11 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--capture-mode",
         choices=("full", "sampled", "off"),
-        default="full",
+        default="off",
         help=(
             "scan-phase traffic-capture fidelity: full stores every "
             "flow, sampled every Nth per protocol, off only counts "
-            "(default: full; sandbox detonation always captures fully)"
+            "(default: off; sandbox detonation always captures fully; "
+            "resolver-walk replay from --result-store needs off)"
         ),
     )
     execution = parser.add_argument_group(
@@ -284,10 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help=(
-            "persist per-nameserver-group stage-1 outcomes in DIR and "
-            "replay unchanged groups on later runs (warm re-scan; the "
-            "report stays byte-identical to a cold run; chaos/faulted "
-            "runs bypass the store automatically)"
+            "persist per-nameserver-group stage-1 outcomes and the "
+            "open resolvers' referral walks in DIR and replay the "
+            "unchanged ones on later runs (warm re-scan; the report "
+            "stays byte-identical to a cold run; chaos/faulted runs "
+            "bypass the store automatically)"
         ),
     )
     incremental.add_argument(
@@ -867,6 +871,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{stats['invalidated']} invalidated, "
             f"{stats['stored']} stored"
         )
+        walks = result_store.walk_stats
+        if walks["replayed"] or walks["executed"]:
+            reporter.info(
+                f"# resolver walks: {walks['replayed']} replayed, "
+                f"{walks['executed']} executed, "
+                f"{walks['invalidated']} invalidated"
+            )
     if args.metrics_out:
         _write_metrics(
             args.metrics_out,

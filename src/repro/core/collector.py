@@ -25,6 +25,7 @@ randomized order and rate-limited per server against the virtual clock.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -49,6 +50,7 @@ from ..engine import (
     ScanMetrics,
     create_engine,
 )
+from ..incremental.walks import WalkSession
 from ..net.network import NetworkError, SimulatedInternet
 from ..obs.events import STAGE1 as OBS_STAGE1
 from ..pipeline.errors import StageFailed
@@ -211,6 +213,12 @@ class ResponseCollector:
         #: generating queries inline; ``build_plan`` reproduces the
         #: inline enumeration draw for draw, so outputs are identical
         self.plan = None
+        #: optional ``(GroupResultStore, scan-config fingerprint)``:
+        #: when set, the open resolvers' walks in the correct-record
+        #: phase replay from (and record into) the store — see
+        #: :mod:`repro.incremental.walks`; the hunter's store gate sets
+        #: it per run
+        self.walk_store = None
 
     def emit_phase(self, phase: str) -> None:
         """Emit the completion event of one collection phase.
@@ -294,13 +302,20 @@ class ResponseCollector:
             probe_domain,
         )
         self.emit_phase("protective")
-        successes = self._guarded(
-            "correct",
-            self.collect_correct_records,
-            domains,
-            open_resolver_ips,
-            correct_db,
-        )
+        walks = nullcontext()
+        if self.walk_store is not None:
+            store, config_fp = self.walk_store
+            walks = WalkSession(
+                store, self.network, open_resolver_ips, config_fp, self.trace
+            )
+        with walks:
+            successes = self._guarded(
+                "correct",
+                self.collect_correct_records,
+                domains,
+                open_resolver_ips,
+                correct_db,
+            )
         self.emit_phase("correct")
         return CollectionPreamble(
             protective=protective,

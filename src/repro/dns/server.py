@@ -148,6 +148,34 @@ class AuthoritativeServer:
     def zones(self) -> List[Zone]:
         return list(self._zones.values())
 
+    def answer_stamp(self, qname: Union[str, Name]) -> Optional[list]:
+        """What this server answers ``qname`` from, as a JSON-safe stamp.
+
+        The validators the compiled-answer cache trusts: the generation
+        plus the answering zone's origin and serial, or — when no zone
+        answers — the unhosted policy and protective records.  None
+        when the answer may come from the recursive fallback, which no
+        per-server stamp can witness.
+        """
+        zone = self.zone_for(qname)
+        if zone is not None:
+            origin = zone.origin.to_text()
+            return ["zone", self.generation, origin, zone.serial]
+        if (
+            self.unhosted_policy is UnhostedPolicy.RECURSIVE
+            and self.recursive_fallback is not None
+        ):
+            return None
+        return [
+            "unhosted",
+            self.generation,
+            self.unhosted_policy.value,
+            [
+                [int(rrtype), rdata.to_text()]
+                for rrtype, rdata in self.protective_records
+            ],
+        ]
+
     # -- DnsService protocol -------------------------------------------------
 
     def handle_dns_query(

@@ -20,8 +20,9 @@ uninterrupted run:
 * the stage-1 virtual timestamp ``now`` rides in the checkpoint so a
   resumed stage 2 classifies against the same clock the live run did.
 
-Writes are atomic (temp file + ``os.replace``) so a crash mid-write
-leaves either the previous checkpoint or none, never a torn file.
+Writes are atomic (a per-writer temp file + ``os.replace``) so a crash
+mid-write, or a second process writing the same file, leaves either a
+whole checkpoint or none, never a torn file.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -38,6 +38,7 @@ from ..core.analysis import MaliciousAnalysisResult
 from ..core.collector import CollectionResult, ProtectiveFingerprint
 from ..core.correctness import CorrectRecordDatabase
 from ..core.hunter import Stage1Result, Stage2Result, Stage3Result
+from ..incremental.store import write_json_atomic
 from ..core.parallel import Stage2Metrics
 from ..core.records import ClassifiedUR, IpVerdict, URCategory, UndelegatedRecord
 from ..core.suspicion import SuspicionOutcome
@@ -712,12 +713,8 @@ class CheckpointStore:
             ) from error
 
     def _write(self, path: Path, payload: Dict[str, Any]) -> None:
-        tmp = path.with_suffix(".tmp")
         try:
-            with tmp.open("w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=1)
-                handle.write("\n")
-            os.replace(tmp, path)
+            write_json_atomic(path, payload)
         except OSError as error:
             raise CheckpointError(
                 f"cannot write checkpoint file {path}: {error}"

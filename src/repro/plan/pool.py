@@ -114,21 +114,22 @@ def _run_shard(
         )
     shard = plan.shard(shard_count)[shard_index]
     base_seed = getattr(hunter.network, "fault_seed", 0)
-    payloads = [
-        encode_group_result(
-            run_group_isolated(
-                hunter.network,
-                config,
-                plan,
-                group,
-                hunter.collector.urs_from_outcome,
-                epoch,
-                base_seed,
+    with hunter.scan_capture():
+        payloads = [
+            encode_group_result(
+                run_group_isolated(
+                    hunter.network,
+                    config,
+                    plan,
+                    group,
+                    hunter.collector.urs_from_outcome,
+                    epoch,
+                    base_seed,
+                )
             )
-        )
-        for group in shard.groups
-        if only_groups is None or group.index in only_groups
-    ]
+            for group in shard.groups
+            if only_groups is None or group.index in only_groups
+        ]
     return shard_index, payloads
 
 

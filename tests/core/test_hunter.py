@@ -221,3 +221,45 @@ class TestWorldLikeProtocol:
     def test_default_engine_is_batched(self, small_world):
         hunter = URHunter.from_world(small_world)
         assert hunter.engine.name == "batched"
+
+
+class TestScanCaptureMode:
+    """The capture mode applies to the scan traffic only: the world's
+    capture belongs to every later detonation too."""
+
+    def _world(self):
+        from repro.scenario import build_world, small_config
+
+        return build_world(small_config(seed=7))
+
+    def test_default_scan_capture_counts_only(self):
+        world = self._world()
+        before = len(world.network.capture)
+        URHunter.from_world(world).run()
+        assert len(world.network.capture) == before
+        assert world.network.capture.skipped() > 0
+
+    def test_detonation_after_a_run_still_captures(self):
+        from repro.net.traffic import CaptureMode
+
+        world = self._world()
+        URHunter.from_world(world, HunterConfig(capture_mode="off")).run()
+        assert world.network.capture.mode is CaptureMode.FULL
+        report = world.sandbox.run(world.samples[0])
+        assert len(report.capture) > 0
+
+    def test_mode_restored_when_stage1_raises(self, monkeypatch):
+        from repro.core.collector import ResponseCollector
+        from repro.net.traffic import CaptureMode
+
+        world = self._world()
+        hunter = URHunter.from_world(world)
+
+        def boom(*args, **kwargs):
+            assert world.network.capture.mode is CaptureMode.OFF
+            raise RuntimeError("scan died")
+
+        monkeypatch.setattr(ResponseCollector, "collect_all", boom)
+        with pytest.raises(RuntimeError, match="scan died"):
+            hunter.stage1_collect()
+        assert world.network.capture.mode is CaptureMode.FULL

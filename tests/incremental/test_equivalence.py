@@ -185,11 +185,17 @@ class TestFaultedRunsBypass:
 
     def test_legacy_inline_faulted_run_ignores_the_store(self, tmp_path):
         # shards=0 + faults keeps the pre-plan inline scan: the store
-        # must stay untouched and the run byte-identical to pre-store
+        # must stay untouched and the run byte-identical to pre-store;
+        # the store gate still counts the bypass
         baseline = run(loss=LOSS)
         store = GroupResultStore(tmp_path / "store")
         assert run(store=store, loss=LOSS) == baseline
-        assert all(value == 0 for value in store.stats.values())
+        assert store.stats["bypassed_runs"] == 1
+        assert all(
+            value == 0
+            for key, value in store.stats.items()
+            if key != "bypassed_runs"
+        )
 
     def test_populated_store_never_leaks_into_a_faulted_run(
         self, populated, store_dir
