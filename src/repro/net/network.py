@@ -13,7 +13,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Protocol as TypingProtocol, Sequence
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Protocol as TypingProtocol,
+    Sequence,
+)
 
 from ..dns.message import Message, Rcode
 from ..dns.wire import (
@@ -532,14 +539,31 @@ class SimulatedInternet:
         return DnsChannel(self, src_ip, dst_ip)
 
     def query_dns_auto(
-        self, src_ip: str, dst_ip: str, query: Message
+        self,
+        src_ip: str,
+        dst_ip: str,
+        query: Message,
+        on_transaction: Optional[Callable[[str, bool], None]] = None,
     ) -> Message:
-        """UDP first; on a truncated response, retry the query over TCP."""
-        response = self.query_dns(src_ip, dst_ip, query, transport="udp")
-        if response.header.truncated:
-            response = self.query_dns(
-                src_ip, dst_ip, query, transport="tcp"
-            )
+        """UDP first; on a truncated response, retry the query over TCP.
+
+        ``on_transaction``, when given, sees every transaction in order
+        as ``(transport, ok)`` — a failed one just before its
+        :class:`NetworkError` propagates.
+        """
+        for transport in ("udp", "tcp"):
+            try:
+                response = self.query_dns(
+                    src_ip, dst_ip, query, transport=transport
+                )
+            except NetworkError:
+                if on_transaction is not None:
+                    on_transaction(transport, False)
+                raise
+            if on_transaction is not None:
+                on_transaction(transport, True)
+            if not response.header.truncated:
+                break
         return response
 
     def connect_tcp(
